@@ -168,11 +168,16 @@ impl Default for RuntimeConfig {
 }
 
 /// One kernel launch.
+///
+/// The program and inputs are shared, read-only: every consumer
+/// downstream (plan lookup, the executors, the tuner) only borrows
+/// them, so cloning a request — or launching the same memoized program
+/// many times — bumps two reference counts instead of copying data.
 #[derive(Debug, Clone)]
 pub struct Request {
-    pub prog: DslProgram,
+    pub prog: Arc<DslProgram>,
     pub device: DeviceKind,
-    pub inputs: Vec<Buffer>,
+    pub inputs: Arc<[Buffer]>,
     /// Serve-by deadline. A request that expires while queued is
     /// answered `err deadline exceeded` without executing; an expired
     /// deadline is also checked immediately before execution. Execution
@@ -187,11 +192,17 @@ pub struct Request {
 }
 
 impl Request {
-    pub fn new(prog: DslProgram, device: DeviceKind, inputs: Vec<Buffer>) -> Request {
+    /// Accepts owned values (`DslProgram`, `Vec<Buffer>`) or already
+    /// shared ones (`Arc<DslProgram>`, `Arc<[Buffer]>`).
+    pub fn new(
+        prog: impl Into<Arc<DslProgram>>,
+        device: DeviceKind,
+        inputs: impl Into<Arc<[Buffer]>>,
+    ) -> Request {
         Request {
-            prog,
+            prog: prog.into(),
             device,
-            inputs,
+            inputs: inputs.into(),
             deadline: None,
             tenant: None,
         }
@@ -548,9 +559,15 @@ impl Runtime {
     /// [`MdhError::Overloaded`] / [`MdhError::Draining`] — the caller
     /// always gets exactly one terminal answer.
     pub fn submit(&self, req: Request) -> Handle {
+        self.submit_keyed(PlanKey::of(&req.prog, req.device), req)
+    }
+
+    /// [`Runtime::submit`] with the request's plan key already built —
+    /// the server's router computes it once to pick a shard. `key` must
+    /// equal `PlanKey::of(&req.prog, req.device)`.
+    pub(crate) fn submit_keyed(&self, key: PlanKey, req: Request) -> Handle {
         let (tx, rx) = mpsc::channel();
         let is_rbi = req.prog.md_hom.has_rbi();
-        let key = PlanKey::of(&req.prog, req.device);
         let tenant = req
             .tenant
             .clone()
@@ -649,6 +666,19 @@ impl Runtime {
         wrt: Option<&[usize]>,
         cotangent: Option<Buffer>,
     ) -> Result<GradHandle> {
+        let key = PlanKey::of(&req.prog, req.device);
+        self.submit_grad_keyed(key, req, wrt, cotangent)
+    }
+
+    /// [`Runtime::submit_grad`] with the forward request's plan key
+    /// already built (see [`Runtime::submit_keyed`]).
+    pub(crate) fn submit_grad_keyed(
+        &self,
+        key: PlanKey,
+        req: Request,
+        wrt: Option<&[usize]>,
+        cotangent: Option<Buffer>,
+    ) -> Result<GradHandle> {
         let gp = match wrt {
             Some(w) => mdh_ad::grad(&req.prog, w)?,
             None => mdh_ad::grad_all(&req.prog)?,
@@ -674,7 +704,7 @@ impl Runtime {
             .collect::<Result<_>>()?;
         lock(&self.shared.counters).grad_requests += 1;
         let mut parts = Vec::with_capacity(gp.parts.len());
-        let forward = self.submit(req.clone());
+        let forward = self.submit_keyed(key, req.clone());
         for part in &gp.parts {
             let inputs = mdh_ad::part_inputs(part, &cot, &req.inputs);
             let mut sub = Request::new(part.program.clone(), req.device, inputs);
@@ -813,6 +843,13 @@ impl Runtime {
     /// layer; counted on the runtime the frame was routed to).
     pub fn note_pipelined_frame(&self) {
         lock(&self.shared.counters).pipelined_frames += 1;
+    }
+
+    /// OS threads the runtime's shared execution pool has spawned
+    /// (monotone). The pool is built once in [`Runtime::new`] and never
+    /// grows, so serving must leave this unchanged.
+    pub fn pool_threads_spawned(&self) -> u64 {
+        self.shared.exec.pool().spawned_threads()
     }
 
     /// Worker threads still alive. Equals `config.workers` unless a panic
@@ -1103,10 +1140,25 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     let n = live.len();
 
     // ---- plan lookup (once per batch; followers count as hits) --------
-    let looked_up = lock(&shared.plans).get(&key);
-    let (plan, first_was_hit) = match looked_up {
-        Some(p) => (Ok(p), true),
-        None => (build_and_insert(shared, &key, &live[0].req), false),
+    // Lookup, lowering and insert share one lock hold: two workers
+    // draining same-key batches at once must not both miss and lower
+    // (lowering is microseconds; execution stays outside the lock).
+    let (plan, first_was_hit) = {
+        let mut plans = lock(&shared.plans);
+        let (plan, hit) = match plans.get(&key) {
+            Some(p) => (Ok(p), true),
+            None => (
+                build_plan(shared, &live[0].req).map(|c| plans.insert(key.clone(), c)),
+                false,
+            ),
+        };
+        if plan.is_ok() {
+            // batched followers reuse this plan: cache hits by construction
+            for _ in 1..n {
+                let _ = plans.get(&key);
+            }
+        }
+        (plan, hit)
     };
     let plan = match plan {
         Ok(p) => p,
@@ -1128,15 +1180,6 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
             return;
         }
     };
-    if n > 1 {
-        // batched followers reuse the plan we just looked up/inserted:
-        // they are cache hits by construction
-        let mut plans = lock(&shared.plans);
-        for _ in 1..n {
-            let _ = plans.get(&key);
-        }
-    }
-
     // a cold heuristic miss kicks off a background search
     if !first_was_hit && plan.source == PlanSource::Heuristic && shared.config.tune.enabled {
         maybe_queue_tune(shared, &key, &live[0].req);
@@ -1208,7 +1251,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn build_and_insert(shared: &Shared, key: &PlanKey, req: &Request) -> Result<Arc<CompiledPlan>> {
+fn build_plan(shared: &Shared, req: &Request) -> Result<CompiledPlan> {
     req.prog.validate()?;
     // warm start from the persistent tuning cache if a prior process
     // (or `mdhc tune`) already solved this problem
@@ -1222,7 +1265,7 @@ fn build_and_insert(shared: &Shared, key: &PlanKey, req: &Request) -> Result<Arc
             let schedule = mdh_default_schedule(&req.prog, req.device, units);
             let plan = ExecutionPlan::build(&req.prog, &schedule)?;
             CompiledPlan {
-                prog: req.prog.clone(),
+                prog: DslProgram::clone(&req.prog),
                 schedule,
                 plan,
                 source: PlanSource::Heuristic,
@@ -1231,7 +1274,7 @@ fn build_and_insert(shared: &Shared, key: &PlanKey, req: &Request) -> Result<Arc
             }
         }
     };
-    Ok(lock(&shared.plans).insert(key.clone(), compiled))
+    Ok(compiled)
 }
 
 fn execute_one(
@@ -1323,8 +1366,8 @@ fn maybe_queue_tune(shared: &Shared, key: &PlanKey, req: &Request) {
             Some(tx) => tx
                 .send(TuneJob {
                     key: key.clone(),
-                    prog: req.prog.clone(),
-                    inputs: req.inputs.clone(),
+                    prog: Arc::clone(&req.prog),
+                    inputs: Arc::clone(&req.inputs),
                 })
                 .is_ok(),
             None => false,
@@ -1363,5 +1406,39 @@ fn clone_err(e: &MdhError) -> MdhError {
         MdhError::BreakerOpen(m) => MdhError::BreakerOpen(m.clone()),
         MdhError::Draining(m) => MdhError::Draining(m.clone()),
         other => MdhError::Validation(other.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{compile_any, deterministic_inputs};
+    use mdh_directive::DirectiveEnv;
+
+    #[test]
+    fn request_new_accepts_owned_and_shared_data() {
+        let src = include_str!("../../../kernels/matvec.py");
+        let prog = compile_any(src, &DirectiveEnv::new().size("I", 4).size("K", 8)).unwrap();
+        let inputs: Vec<Buffer> = deterministic_inputs(&prog).unwrap();
+
+        // owned values, as most callers pass them
+        let owned = Request::new(prog.clone(), DeviceKind::Cpu, inputs.clone());
+        assert_eq!(
+            PlanKey::of(&owned.prog, owned.device),
+            PlanKey::of(&prog, DeviceKind::Cpu)
+        );
+        assert_eq!(&owned.inputs[..], &inputs[..]);
+
+        // already shared values are taken as they are, not copied
+        let (sp, si): (Arc<DslProgram>, Arc<[Buffer]>) = (Arc::new(prog), inputs.into());
+        let shared = Request::new(Arc::clone(&sp), DeviceKind::Gpu, Arc::clone(&si));
+        assert!(Arc::ptr_eq(&shared.prog, &sp));
+        assert!(Arc::ptr_eq(&shared.inputs, &si));
+        let cloned = shared.clone();
+        assert!(
+            Arc::ptr_eq(&cloned.inputs, &si),
+            "cloning a request shares its inputs"
+        );
+        assert_eq!(Arc::strong_count(&si), 3);
     }
 }

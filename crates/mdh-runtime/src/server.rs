@@ -82,15 +82,14 @@
 //!
 //! [`RuntimeStats::merge_shards`]: crate::stats::RuntimeStats::merge_shards
 
-use crate::plan_cache::PlanKey;
+use crate::plan_cache::{structural_signature, PlanKey};
 use crate::ring::{fnv1a, HashRing};
 use crate::runtime::{GradHandle, GradResponse, Handle, Request, Response, Runtime, RuntimeConfig};
 use crate::sync::{lock, Semaphore};
-use mdh_core::buffer::Buffer;
+use mdh_core::buffer::{Buffer, BufferData};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::shape::Shape;
-use mdh_core::types::BasicType;
 use mdh_directive::{compile, compile_c, compile_fortran, parse_dsl, DirectiveEnv};
 use mdh_lowering::asm::DeviceKind;
 use std::collections::HashMap;
@@ -149,13 +148,23 @@ pub fn deterministic_inputs(prog: &DslProgram) -> Result<Vec<Buffer>> {
         .collect()
 }
 
-/// Checksum of a scalar buffer (sum of elements as f64).
+/// Checksum of a scalar buffer (sum of elements as f64, in index
+/// order); NaN for a record buffer. Folds each element kind's typed
+/// slice directly, with the same per-element conversion as
+/// `Value::as_f64`, so the result is bit-identical to summing
+/// `get_flat(i).as_f64()`.
 pub fn checksum(buf: &Buffer) -> f64 {
-    match &buf.ty {
-        BasicType::Scalar(_) => (0..buf.len())
-            .map(|i| buf.get_flat(i).as_f64().unwrap_or(0.0))
-            .sum(),
-        _ => f64::NAN,
+    fn fold<T: Copy>(v: &[T], to_f64: impl Fn(T) -> f64) -> f64 {
+        v.iter().map(|&x| to_f64(x)).sum()
+    }
+    match &buf.data {
+        BufferData::F32(v) => fold(v, f64::from),
+        BufferData::F64(v) => fold(v, |x| x),
+        BufferData::I32(v) => fold(v, f64::from),
+        BufferData::I64(v) => fold(v, |x| x as f64),
+        BufferData::Bool(v) => fold(v, |x| x as i64 as f64),
+        BufferData::Char(v) => fold(v, f64::from),
+        BufferData::Record(_) => f64::NAN,
     }
 }
 
@@ -322,13 +331,56 @@ const FRONTEND_MEMO_CAP: usize = 64;
 /// amortises *scheduling*, not the front end. Keyed by the FNV digest of
 /// the source plus the sorted size bindings (which fully determine the
 /// [`DirectiveEnv`] the wire protocol can express); holds the compiled
-/// program and its deterministic inputs, which requests clone per launch
-/// exactly as the uncached path did.
+/// program, its deterministic inputs and its structural signature.
+/// Launches share the memo's read-only program and inputs (a launch is
+/// two reference-count bumps, whatever the input size), and the router
+/// builds each launch's [`PlanKey`] from the cached signature.
 type MemoKey = (u64, Vec<(String, i64)>);
-type Compiled = Arc<(DslProgram, Vec<Buffer>)>;
+
+/// One memo entry: everything a launch needs that depends only on the
+/// source and its bindings.
+struct Compiled {
+    prog: Arc<DslProgram>,
+    inputs: Arc<[Buffer]>,
+    /// [`structural_signature`] of `prog`.
+    sig: String,
+}
+
+impl Compiled {
+    fn new(prog: DslProgram) -> Result<Compiled> {
+        let inputs = deterministic_inputs(&prog)?;
+        Ok(Compiled {
+            sig: structural_signature(&prog),
+            prog: Arc::new(prog),
+            inputs: inputs.into(),
+        })
+    }
+
+    /// `PlanKey::of(&self.prog, device)`, without re-rendering the
+    /// signature.
+    fn key(&self, device: DeviceKind) -> PlanKey {
+        PlanKey {
+            sig: self.sig.clone(),
+            shape: self.prog.md_hom.sizes.clone(),
+            device,
+        }
+    }
+
+    /// A launch of this entry: shares the program and inputs.
+    fn request(&self, spec: &SubmitSpec) -> Request {
+        let mut req = Request::new(
+            Arc::clone(&self.prog),
+            spec.device,
+            Arc::clone(&self.inputs),
+        );
+        req.deadline = spec.deadline;
+        req.tenant = spec.tenant.clone();
+        req
+    }
+}
 
 struct FrontendMemo {
-    entries: Mutex<HashMap<MemoKey, Compiled>>,
+    entries: Mutex<HashMap<MemoKey, Arc<Compiled>>>,
 }
 
 impl FrontendMemo {
@@ -338,7 +390,7 @@ impl FrontendMemo {
         }
     }
 
-    fn compile(&self, src: &str, spec: &SubmitSpec) -> std::result::Result<Compiled, String> {
+    fn compile(&self, src: &str, spec: &SubmitSpec) -> std::result::Result<Arc<Compiled>, String> {
         let mut bindings = spec.bindings.clone();
         bindings.sort();
         let key = (fnv1a(src.as_bytes()), bindings);
@@ -347,9 +399,10 @@ impl FrontendMemo {
         }
         // compile outside the lock: a miss is the slow path, and one
         // confused client must not serialise every other connection
-        let prog = compile_any(src, &spec.env).map_err(|e| e.to_string())?;
-        let inputs = deterministic_inputs(&prog).map_err(|e| e.to_string())?;
-        let compiled = Arc::new((prog, inputs));
+        let compiled = compile_any(src, &spec.env)
+            .and_then(Compiled::new)
+            .map(Arc::new)
+            .map_err(|e| e.to_string())?;
         let mut entries = lock(&self.entries);
         if entries.len() >= FRONTEND_MEMO_CAP {
             entries.clear();
@@ -391,16 +444,24 @@ impl Router {
         }
     }
 
-    fn submit(&self, req: Request) -> Handle {
-        let i = self.shard_for(&PlanKey::of(&req.prog, req.device));
+    /// Pick the shard for `key` and count the route.
+    fn route(&self, key: &PlanKey) -> &Runtime {
+        let i = self.shard_for(key);
         self.routes[i].fetch_add(1, Ordering::Relaxed);
-        self.shards[i].submit(req)
+        &self.shards[i]
     }
 
-    fn submit_grad(&self, req: Request) -> Result<GradHandle> {
-        let i = self.shard_for(&PlanKey::of(&req.prog, req.device));
-        self.routes[i].fetch_add(1, Ordering::Relaxed);
-        self.shards[i].submit_grad(req, None, None)
+    /// Submit one launch of a memo entry; the plan key is built once,
+    /// from the cached signature, for both routing and the runtime.
+    fn submit(&self, compiled: &Compiled, spec: &SubmitSpec) -> Handle {
+        let key = compiled.key(spec.device);
+        self.route(&key).submit_keyed(key, compiled.request(spec))
+    }
+
+    fn submit_grad(&self, compiled: &Compiled, spec: &SubmitSpec) -> Result<GradHandle> {
+        let key = compiled.key(spec.device);
+        self.route(&key)
+            .submit_grad_keyed(key, compiled.request(spec), None, None)
     }
 
     fn stats(&self) -> crate::stats::RuntimeStats {
@@ -855,21 +916,18 @@ fn submit_frame(spec: &SubmitSpec, src: &str, router: &Router) -> FrameWork {
         Ok(c) => c,
         Err(e) => return FrameWork::Failed(e),
     };
-    let (prog, inputs) = (&compiled.0, &compiled.1);
-    let make_req = || {
-        let mut req = Request::new(prog.clone(), spec.device, inputs.clone());
-        req.deadline = spec.deadline;
-        req.tenant = spec.tenant.clone();
-        req
-    };
     if spec.grad {
         FrameWork::Grad(
             (0..spec.count)
-                .map(|_| router.submit_grad(make_req()))
+                .map(|_| router.submit_grad(&compiled, spec))
                 .collect(),
         )
     } else {
-        FrameWork::Plain((0..spec.count).map(|_| router.submit(make_req())).collect())
+        FrameWork::Plain(
+            (0..spec.count)
+                .map(|_| router.submit(&compiled, spec))
+                .collect(),
+        )
     }
 }
 
@@ -1327,6 +1385,7 @@ fn read_reply(stream: AnyStream) -> std::io::Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdh_core::types::{BasicType, FieldType, RecordType, ScalarKind};
 
     const DOT: &str = "\
 @mdh( out( res = Buffer[fp32] ),
@@ -1357,6 +1416,183 @@ def dot(res, x, y):
                 assert!((-8.0..8.0).contains(&v));
             }
         }
+    }
+
+    /// Every sample kernel under `kernels/`, with small size bindings.
+    const KERNELS: [(&str, &str); 4] = [
+        (include_str!("../../../kernels/matvec.py"), "I=8,K=16"),
+        (include_str!("../../../kernels/matmul.c"), "I=4,J=6,K=8"),
+        (include_str!("../../../kernels/jacobi1d.f90"), "N=32"),
+        (include_str!("../../../kernels/matvec.mdh"), "I=8,K=16"),
+    ];
+
+    fn spec(device: &str, count: usize, bindings: &str) -> SubmitSpec {
+        let count = count.to_string();
+        parse_submit_header(&["SUBMIT", device, &count, "0", bindings], false).unwrap()
+    }
+
+    #[test]
+    fn routed_key_equals_plan_key_of_for_every_front_end() {
+        let memo = FrontendMemo::new();
+        for (src, bindings) in KERNELS {
+            for device in ["cpu", "gpu"] {
+                let spec = spec(device, 1, bindings);
+                let compiled = memo.compile(src, &spec).unwrap();
+                assert_eq!(
+                    compiled.key(spec.device),
+                    PlanKey::of(&compiled.prog, spec.device),
+                    "{bindings} on {device}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memo_hits_share_program_and_inputs() {
+        let memo = FrontendMemo::new();
+        let (src, bindings) = KERNELS[0];
+        let n = 5;
+        let spec = spec("cpu", n, bindings);
+        let first = memo.compile(src, &spec).unwrap();
+        let second = memo.compile(src, &spec).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "second compile is a memo hit");
+        let (a, b) = (first.request(&spec), second.request(&spec));
+        assert!(Arc::ptr_eq(&a.prog, &b.prog));
+        assert!(Arc::ptr_eq(&a.inputs, &b.inputs));
+        drop((a, b));
+
+        // a count=N SUBMIT's launches are N references to the memo's
+        // inputs, not N copies
+        let base = Arc::strong_count(&first.inputs);
+        let launches: Vec<Request> = (0..n).map(|_| first.request(&spec)).collect();
+        assert_eq!(Arc::strong_count(&first.inputs), base + n);
+        assert_eq!(Arc::strong_count(&first.prog), base + n);
+        assert!(launches
+            .iter()
+            .all(|r| Arc::ptr_eq(&r.inputs, &first.inputs)));
+        drop(launches);
+
+        // and once the runtime has answered them, no reference lingers
+        let mut config = RuntimeConfig {
+            workers: 1,
+            exec_threads: 1,
+            ..RuntimeConfig::default()
+        };
+        config.tune.enabled = false;
+        let router = Router::new(&config, 1, DEFAULT_VNODES).unwrap();
+        let compiled = router.memo.compile(src, &spec).unwrap();
+        let lines = collect_frame(submit_frame(&spec, src, &router)).unwrap();
+        assert_eq!(lines.last().unwrap(), &format!("done {n}"));
+        router.shards[0].wait_idle();
+        assert_eq!(Arc::strong_count(&compiled.inputs), 1);
+    }
+
+    /// The element-wise reference the typed checksum replaces.
+    fn checksum_by_element(buf: &Buffer) -> f64 {
+        match &buf.ty {
+            BasicType::Scalar(_) => (0..buf.len())
+                .map(|i| buf.get_flat(i).as_f64().unwrap_or(0.0))
+                .sum(),
+            _ => f64::NAN,
+        }
+    }
+
+    #[test]
+    fn typed_checksum_is_bit_identical_to_the_element_fold() {
+        let f64s = vec![
+            1e300,
+            -0.0,
+            3.5,
+            f64::MIN_POSITIVE / 8.0,
+            -1e-300,
+            1.0,
+            -1e300,
+            7.25e-310,
+            2.0f64.powi(60),
+            -3.0,
+        ];
+        let n = f64s.len();
+        let shape = || Shape::new(vec![n]);
+        let f32s: Vec<f32> = vec![
+            3.0e38,
+            -0.0,
+            1.5e-45,
+            -2.5,
+            1.0e-40,
+            16_777_217.0,
+            -3.0e38,
+            0.1,
+            1e-7,
+            -0.0,
+        ];
+        let bufs = vec![
+            Buffer::from_f32("f32", shape(), f32s),
+            Buffer::from_f64("f64", shape(), f64s),
+            Buffer {
+                data: BufferData::I32(vec![
+                    i32::MAX,
+                    -7,
+                    i32::MIN,
+                    0,
+                    1 << 24,
+                    -1,
+                    3,
+                    i32::MAX,
+                    9,
+                    -9,
+                ]),
+                ..Buffer::zeros("i32", BasicType::Scalar(ScalarKind::I32), shape())
+            },
+            Buffer::from_i64(
+                "i64",
+                shape(),
+                vec![
+                    i64::MAX,
+                    -1,
+                    1 << 53,
+                    1,
+                    i64::MIN,
+                    3,
+                    (1 << 53) + 1,
+                    -5,
+                    0,
+                    11,
+                ],
+            ),
+            Buffer {
+                data: BufferData::Bool(vec![
+                    true, false, true, true, false, false, true, false, true, true,
+                ]),
+                ..Buffer::zeros("bool", BasicType::Scalar(ScalarKind::Bool), shape())
+            },
+            Buffer {
+                data: BufferData::Char(vec![0, 255, 7, b'a', 128, 1, 2, 3, 200, 99]),
+                ..Buffer::zeros("char", BasicType::Scalar(ScalarKind::Char), shape())
+            },
+            // a lone negative zero: the fold's neutral element decides it
+            Buffer::from_f64("negzero", Shape::new(vec![1]), vec![-0.0]),
+            Buffer::from_f32("empty", Shape::new(vec![0]), Vec::new()),
+        ];
+        for b in &bufs {
+            assert_eq!(
+                checksum(b).to_bits(),
+                checksum_by_element(b).to_bits(),
+                "{}: {} vs {}",
+                b.name,
+                checksum(b),
+                checksum_by_element(b)
+            );
+        }
+        let rec = BasicType::Record(RecordType::new(
+            "pair",
+            vec![
+                ("a".into(), FieldType::Scalar(ScalarKind::F32)),
+                ("b".into(), FieldType::Scalar(ScalarKind::I32)),
+            ],
+        ));
+        let records = Buffer::zeros("rec", rec, shape());
+        assert!(checksum(&records).is_nan());
+        assert!(checksum_by_element(&records).is_nan());
     }
 
     #[test]

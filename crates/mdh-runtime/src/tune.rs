@@ -43,9 +43,10 @@ impl Default for TunePolicy {
 /// One queued background search, created on a plan-cache miss.
 pub(crate) struct TuneJob {
     pub key: PlanKey,
-    pub prog: DslProgram,
+    /// Shared with the request that missed; the search only reads it.
+    pub prog: Arc<DslProgram>,
     /// Representative inputs (CPU tuning measures real executions).
-    pub inputs: Vec<Buffer>,
+    pub inputs: Arc<[Buffer]>,
 }
 
 /// Run one search and hot-swap the cached plan if the result wins.
@@ -72,7 +73,7 @@ pub(crate) fn run_tune_job(
         Err(_) => return false,
     };
     let candidate = CompiledPlan {
-        prog: job.prog.clone(),
+        prog: DslProgram::clone(&job.prog),
         schedule: tuned.schedule.clone(),
         plan,
         source: PlanSource::Tuned,

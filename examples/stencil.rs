@@ -1,5 +1,5 @@
 //! Stencils: 3D Jacobi through the directive (reduction-free, cc-only)
-//! with the direct-write parallel map kernel.
+//! on the fast-path kernel engine (a compiled strict weighted-sum map).
 //!
 //! ```text
 //! cargo run --release --example stencil
@@ -20,7 +20,7 @@ fn main() {
     println!("Jacobi_3D: {} (7-point, stride-1)", app.sizes_desc);
 
     let exec = CpuExecutor::new(threads).expect("executor");
-    assert_eq!(exec.path_for(&app.program), ExecPath::Map);
+    assert_eq!(exec.path_for(&app.program), ExecPath::Fast);
 
     // sequential vs parallel map execution
     let seq = Schedule::sequential(3, DeviceKind::Cpu);

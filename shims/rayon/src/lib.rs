@@ -33,10 +33,13 @@
 //!
 //! # Observability (shim extensions)
 //!
-//! [`total_threads_spawned`] counts every OS thread any pool has ever
-//! spawned (process-wide), and [`ThreadPool::regions_executed`] counts
-//! parallel regions the pool ran. Benches and tests use the pair to
-//! prove the hot path performs zero per-region spawns after warmup.
+//! [`ThreadPool::spawned_threads`] counts the OS threads one pool has
+//! ever spawned, [`total_threads_spawned`] the same over every pool in
+//! the process, and [`ThreadPool::regions_executed`] counts parallel
+//! regions the pool ran. Benches and tests use them to prove the hot
+//! path performs zero per-region spawns after warmup; tests that run
+//! beside other pool-building tests assert on the per-pool counter,
+//! which their siblings cannot move.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -153,6 +156,8 @@ struct PoolShared {
     /// Parallel regions executed through the pool (inline-sequential
     /// small regions are not counted).
     regions_run: AtomicU64,
+    /// OS threads this pool has spawned, ever (monotone).
+    spawned: AtomicU64,
 }
 
 impl PoolShared {
@@ -318,10 +323,11 @@ impl ThreadPool {
         self.width
     }
 
-    /// OS threads this pool spawned (its size minus the participating
-    /// caller).
-    pub fn spawned_threads(&self) -> usize {
-        self.core.shared.pool_size - 1
+    /// OS threads this pool has spawned since it was built (shared
+    /// across clones; monotone). Workers are spawned once, at build —
+    /// its size minus the participating caller — and never per region.
+    pub fn spawned_threads(&self) -> u64 {
+        self.core.shared.spawned.load(Ordering::Relaxed)
     }
 
     /// Parallel regions executed through the pool so far (shared across
@@ -391,6 +397,7 @@ impl ThreadPoolBuilder {
             done_cv: Condvar::new(),
             pool_size: threads,
             regions_run: AtomicU64::new(0),
+            spawned: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(threads - 1);
         for i in 0..threads - 1 {
@@ -399,6 +406,7 @@ impl ThreadPoolBuilder {
                 .name(format!("mdh-pool-{i}"))
                 .spawn(move || sh.worker_loop())
                 .map_err(|e| ThreadPoolBuildError(e.to_string()))?;
+            shared.spawned.fetch_add(1, Ordering::Relaxed);
             TOTAL_SPAWNED.fetch_add(1, Ordering::Relaxed);
             handles.push(h);
         }
@@ -841,7 +849,6 @@ mod tests {
     fn pool_spawns_once_and_reuses_workers() {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         assert_eq!(pool.spawned_threads(), 3);
-        let spawned_before = total_threads_spawned();
         let regions_before = pool.regions_executed();
         let v: Vec<usize> = (0..100_000).collect();
         for _ in 0..50 {
@@ -849,11 +856,21 @@ mod tests {
             assert_eq!(s, 100_000 * 99_999 / 2);
         }
         assert_eq!(
-            total_threads_spawned(),
-            spawned_before,
+            pool.spawned_threads(),
+            3,
             "hot regions must not spawn threads"
         );
         assert!(pool.regions_executed() >= regions_before + 50);
+    }
+
+    #[test]
+    fn spawn_counter_is_per_pool() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let before = total_threads_spawned();
+        let other = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        assert!(total_threads_spawned() >= before + 3);
+        assert_eq!(other.spawned_threads(), 3);
+        assert_eq!(pool.spawned_threads(), 2, "a sibling pool must not move it");
     }
 
     #[test]
@@ -883,11 +900,10 @@ mod tests {
         let narrow = pool.with_width(2);
         assert_eq!(narrow.current_num_threads(), 2);
         assert_eq!(narrow.spawned_threads(), 3, "same underlying pool");
-        let before = total_threads_spawned();
         let v: Vec<usize> = (0..10_000).collect();
         let s: usize = narrow.install(|| v.par_iter().map(|&x| x).sum());
         assert_eq!(s, 10_000 * 9_999 / 2);
-        assert_eq!(total_threads_spawned(), before);
+        assert_eq!(pool.spawned_threads(), 3);
     }
 
     #[test]
@@ -909,10 +925,10 @@ mod tests {
         );
         // regression: the pool must answer correctly on the request
         // AFTER a panicking one — workers survive, no deadlock
-        let spawned = total_threads_spawned();
+        let spawned = pool.spawned_threads();
         let s: usize = pool.install(|| v.par_iter().map(|&x| x).sum());
         assert_eq!(s, 10_000 * 9_999 / 2);
-        assert_eq!(total_threads_spawned(), spawned, "no respawn after panic");
+        assert_eq!(pool.spawned_threads(), spawned, "no respawn after panic");
     }
 
     #[test]
